@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.online_tree import OnlineDecisionTree
 from repro.core.oobe import OOBETracker
 from repro.core.poisson import ImbalanceBagger
+from repro.core.random_tests import validate_feature_ranges
 from repro.obs.tracing import NULL_TRACER, NullTracer
 from repro.parallel.chunking import assemble_groups, split_work  # repro: noqa RPR501 — chunking is scheduling math with no model knowledge; inverting it into core would couple the scheduler to one consumer
 from repro.parallel.pool import SerialExecutor, TreeExecutor  # repro: noqa RPR501 — models layer consumes the executor abstraction; pool has no model knowledge, so the inversion would be artificial
@@ -60,13 +61,15 @@ class TreeSlot:
 
 @dataclass(frozen=True)
 class _FitSpec:
-    """Everything a fit worker needs beyond the slots and the data."""
+    """Everything a fit worker needs beyond the slots and the data.
 
-    lambda_pos: float
-    lambda_neg: float
+    Built once per forest: every field is a constructor parameter.
+    """
+
+    #: Poisson rate by class, ``(λn, λp)``: ``rates[y]`` is λ per row
+    rates: np.ndarray
     oobe_threshold: Optional[float]
     age_threshold: float
-    chunk_size: int
     tree_params: dict
 
 
@@ -76,47 +79,97 @@ def _regrow_tree(spec: _FitSpec, rng: np.random.Generator) -> OnlineDecisionTree
     return OnlineDecisionTree(seed=seed, **spec.tree_params)
 
 
-def _maybe_replace(slot: TreeSlot, spec: _FitSpec) -> int:
-    """Apply the decay rule; returns 1 if the tree was replaced."""
-    if spec.oobe_threshold is None:
-        return 0
-    if slot.tracker.is_decayed(
+def _is_decayed(slot: TreeSlot, spec: _FitSpec) -> bool:
+    """The decay rule: OOBE > θ_OOBE and AGE > θ_AGE (never when disabled)."""
+    return spec.oobe_threshold is not None and slot.tracker.is_decayed(
         slot.tree.age,
         oobe_threshold=spec.oobe_threshold,
         age_threshold=spec.age_threshold,
-    ):
-        slot.tree = _regrow_tree(spec, slot.rng)
-        slot.tracker.reset()
-        return 1
-    return 0
+    )
+
+
+def _replace(slot: TreeSlot, spec: _FitSpec) -> None:
+    """Discard the slot's tree and regrow it from the slot's stream."""
+    slot.tree = _regrow_tree(spec, slot.rng)
+    slot.tracker.reset()
+
+
+def _draw_ks(rng: np.random.Generator, lam: np.ndarray) -> List[int]:
+    """Poisson multiplicities for the rows of *lam*, in row order.
+
+    A vector draw consumes the stream element by element, exactly like
+    one scalar draw per row; a single row takes the scalar call, which
+    skips the array argument checks that dominate a length-1 draw.
+    """
+    if lam.shape[0] == 1:
+        return [rng.poisson(float(lam[0]))]
+    ks: List[int] = rng.poisson(lam).tolist()
+    return ks
 
 
 def _fit_slot_exact(
-    slot: TreeSlot, X: np.ndarray, y: np.ndarray, lam: np.ndarray, spec: _FitSpec
+    slot: TreeSlot,
+    rows: List[np.ndarray],
+    labels: List[int],
+    lam: np.ndarray,
+    spec: _FitSpec,
 ) -> int:
-    """Per-sample Algorithm 1 for one slot over the whole batch, row order."""
+    """Per-sample Algorithm 1 for one slot over the whole batch, row order.
+
+    The one exact kernel: ``update`` runs it on one row, exact
+    ``partial_fit`` on many, and both consume the slot's stream in the
+    order the per-sample loop does.  The batch's multiplicities come
+    from one vector draw.  A replacement draws its tree's seed from the
+    same stream, after the k of its own row and before the k of the
+    next, so when one fires before the last row the stream is rewound
+    to before the vector draw, the rows up to and including this one
+    are redrawn (the same values), the seed is drawn, and the rest of
+    the batch is drawn afresh.
+    """
+    rng = slot.rng
+    n = len(rows)
+    base = 0  # first row of the current vector draw
+    rewind = rng.bit_generator.state if n > 1 else {}  # stream before it
+    ks = _draw_ks(rng, lam)
     n_replaced = 0
-    ks = slot.rng.poisson(lam)
-    for i in range(X.shape[0]):
-        k = int(ks[i])
+    for i in range(n):
+        k = ks[i]
         if k > 0:
-            slot.tree.update_repeated(X[i], int(y[i]), k)
-        else:
-            # out-of-bag: score the sample, update OOBE, maybe replace
-            pred = 1 if slot.tree.predict_one(X[i]) > 0.5 else 0
-            slot.tracker.observe(int(y[i]), pred)
-            n_replaced += _maybe_replace(slot, spec)
+            slot.tree.update_repeated(rows[i], labels[i], k)
+            continue
+        # out-of-bag: score the sample, update OOBE, maybe replace
+        pred = 1 if slot.tree.predict_one(rows[i]) > 0.5 else 0
+        slot.tracker.observe(labels[i], pred)
+        if not _is_decayed(slot, spec):
+            continue
+        n_replaced += 1
+        if i + 1 == n:  # nothing was drawn past this row
+            _replace(slot, spec)
+            break
+        # the rest of the batch was drawn before the seed: replay the
+        # draw up to this row, draw the seed, then draw the rest again
+        rng.bit_generator.state = rewind
+        rng.poisson(lam[base : i + 1])
+        _replace(slot, spec)
+        base = i + 1
+        rewind = rng.bit_generator.state
+        ks[base:] = _draw_ks(rng, lam[base:])
     return n_replaced
 
 
 def _fit_slot_chunked(
-    slot: TreeSlot, X: np.ndarray, y: np.ndarray, lam: np.ndarray, spec: _FitSpec
+    slot: TreeSlot,
+    X: np.ndarray,
+    y: np.ndarray,
+    lam: np.ndarray,
+    spec: _FitSpec,
+    chunk_size: int,
 ) -> int:
     """Mini-batch fast path for one slot: vectorized draws, bulk folds,
     closed-form batch OOBE, decay checked once per chunk."""
     n_replaced = 0
-    for start in range(0, X.shape[0], spec.chunk_size):
-        sl = slice(start, min(start + spec.chunk_size, X.shape[0]))
+    for start in range(0, X.shape[0], chunk_size):
+        sl = slice(start, min(start + chunk_size, X.shape[0]))
         Xc, yc = X[sl], y[sl]
         ks = slot.rng.poisson(lam[sl])
         in_bag = ks > 0
@@ -128,22 +181,32 @@ def _fit_slot_chunked(
         if oob.any():
             preds = (slot.tree.predict_batch(Xc[oob]) > 0.5).astype(np.int8)
             slot.tracker.observe_batch(yc[oob], preds)
-            n_replaced += _maybe_replace(slot, spec)
+            if _is_decayed(slot, spec):
+                _replace(slot, spec)
+                n_replaced += 1
     return n_replaced
 
 
-def _fit_slots(payload: Tuple[List[TreeSlot], np.ndarray, np.ndarray, np.ndarray]) -> Tuple[List[TreeSlot], int]:
+_FitPayload = Tuple[List[TreeSlot], np.ndarray, np.ndarray, _FitSpec, int]
+
+
+def _fit_slots(payload: _FitPayload) -> Tuple[List[TreeSlot], int]:
     """Worker: stream one batch through a group of slots.
 
     Module-level so process pools can pickle it; returns the (possibly
     copied, in process workers) slots so the caller can reinstall them.
+    ``chunk_size <= 0`` selects the exact kernel.
     """
-    slots, X, y, spec = payload
-    lam = np.where(y == 1, spec.lambda_pos, spec.lambda_neg)
-    fit_one = _fit_slot_exact if spec.chunk_size <= 0 else _fit_slot_chunked
+    slots, X, y, spec, chunk_size = payload
+    lam = spec.rates[y]
     n_replaced = 0
+    if chunk_size > 0:
+        for slot in slots:
+            n_replaced += _fit_slot_chunked(slot, X, y, lam, spec, chunk_size)
+        return slots, n_replaced
+    rows, labels = list(X), y.tolist()
     for slot in slots:
-        n_replaced += fit_one(slot, X, y, lam, spec)
+        n_replaced += _fit_slot_exact(slot, rows, labels, lam, spec)
     return slots, n_replaced
 
 
@@ -236,7 +299,11 @@ class OnlineRandomForest:
         self.vote = vote
         self.max_depth = int(max_depth)
         self.split_check_interval = int(split_check_interval)
-        self.feature_ranges = feature_ranges
+        self.feature_ranges = (
+            None
+            if feature_ranges is None
+            else validate_feature_ranges(feature_ranges, self.n_features)
+        )
 
         self._rng_factory = RngFactory(seed)
         self.bagger = ImbalanceBagger(
@@ -251,6 +318,12 @@ class OnlineRandomForest:
             for _ in range(self.n_trees)
         ]
         self._executor = executor or SerialExecutor()
+        self._spec = _FitSpec(
+            rates=np.array([self.bagger.lambda_neg, self.bagger.lambda_pos]),
+            oobe_threshold=self.oobe_threshold,
+            age_threshold=self.age_threshold,
+            tree_params=self._tree_params(),
+        )
         #: stage tracer for the batch fit/predict paths; the no-op
         #: default keeps results bit-identical and the hot path free
         self.tracer: NullTracer = NULL_TRACER
@@ -281,16 +354,6 @@ class OnlineRandomForest:
             decay=self.oobe_decay, min_observations=self.oobe_min_observations
         )
 
-    def _fit_spec(self, chunk_size: int) -> _FitSpec:
-        return _FitSpec(
-            lambda_pos=self.bagger.lambda_pos,
-            lambda_neg=self.bagger.lambda_neg,
-            oobe_threshold=self.oobe_threshold,
-            age_threshold=self.age_threshold,
-            chunk_size=int(chunk_size),
-            tree_params=self._tree_params(),
-        )
-
     @property
     def trees(self) -> List[OnlineDecisionTree]:
         """Current trees, in slot order (read-only view)."""
@@ -313,15 +376,24 @@ class OnlineRandomForest:
 
     # ----------------------------------------------------------------- update
     def _map_fit(self, X: np.ndarray, y: np.ndarray, chunk_size: int) -> None:
-        """Deal slots into worker groups, stream the batch, reinstall."""
-        spec = self._fit_spec(chunk_size)
+        """Stream the batch through every slot, in slot groups.
+
+        A one-worker executor runs the kernel on ``self.slots`` in
+        place; otherwise slots are dealt into worker groups and
+        whatever comes back is reinstalled (process workers mutate
+        copies).  Each slot owns its stream, so both give one result.
+        """
         with self.tracer.span("forest.fit", items=X.shape[0]):
-            groups = split_work(
-                self.slots, getattr(self._executor, "n_workers", 1)
-            )
-            payloads = [(group, X, y, spec) for group in groups]
+            n_workers = getattr(self._executor, "n_workers", 1)
+            if n_workers == 1:
+                _, n_replaced = _fit_slots(
+                    (self.slots, X, y, self._spec, chunk_size)
+                )
+                self.n_replacements += n_replaced
+                return
+            groups = split_work(self.slots, n_workers)
+            payloads = [(group, X, y, self._spec, chunk_size) for group in groups]
             results = self._executor.map(_fit_slots, payloads)
-            # process workers mutate copies; reinstall whatever came back
             self.slots = assemble_groups([slots for slots, _ in results])
             self.n_replacements += sum(n for _, n in results)
 
@@ -361,7 +433,7 @@ class OnlineRandomForest:
         if X.shape[0] == 0:
             return self
         self.n_samples_seen += X.shape[0]
-        self._map_fit(X, np.asarray(y, dtype=np.int64), chunk_size)
+        self._map_fit(X, np.asarray(y, dtype=np.int64), int(chunk_size))
         return self
 
     # ------------------------------------------------------------- prediction

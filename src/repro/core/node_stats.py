@@ -16,6 +16,9 @@ import numpy as np
 
 from repro.core.random_tests import RandomTestSet
 
+#: the smallest positive double: ``max(n, _TINY) == n`` for every n > 0
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
+
 
 def gini(counts: np.ndarray) -> np.ndarray:
     """Gini impurity (Eq. 1) from class-count arrays ``(..., 2)``.
@@ -100,31 +103,40 @@ class LeafStats:
 
     # ----------------------------------------------------------------- gains
     def gains(self) -> np.ndarray:
-        """ΔG (Eq. 2) of every candidate test, vectorized.
+        """ΔG (Eq. 2) of every candidate test, in closed form.
 
         Uses the *test-local* class totals (left + right per test), which
-        equal the samples this leaf has routed since creation.
+        equal the samples this leaf has routed since creation.  Every
+        sample lands on exactly one side of every test, so with
+        non-negative weights either all N tests have seen mass or none
+        has: an unseen leaf gains 0 everywhere, and otherwise only a
+        test's empty side needs a guard.  Element by element this is
+        :func:`gini` of the parent minus the side-weighted :func:`gini`
+        of the children, so the result is bit-identical to composing
+        them.
         """
         if self.tests is None:
             return np.zeros(0, dtype=np.float64)
         stats = self.test_stats  # (N, side, class)
         totals = stats.sum(axis=(1, 2))  # (N,)
-        side_totals = stats.sum(axis=2)  # (N, 2)
-        parent_counts = stats.sum(axis=1)  # (N, 2)
-        g_parent = gini(parent_counts)
-        g_children = gini(stats)  # (N, 2) per side
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.where(
-                totals[:, None] > 0, side_totals / np.where(totals[:, None] > 0, totals[:, None], 1), 0.0
-            )
-        return g_parent - (frac * g_children).sum(axis=1)
+        if not totals[0] > 0:
+            return np.zeros(totals.shape[0], dtype=np.float64)
+        parent = stats[:, 0] + stats[:, 1]  # (N, class)
+        p = parent[:, 1] / (parent[:, 0] + parent[:, 1])
+        g_parent = 2.0 * p * (1.0 - p)
+        side_totals = stats.sum(axis=2)  # (N, side)
+        # an empty side has c1 == 0, and 0 / smallest_subnormal == 0
+        p_side = stats[:, :, 1] / np.maximum(side_totals, _TINY)
+        g_children = 2.0 * p_side * (1.0 - p_side)
+        weighted = side_totals / totals[:, None] * g_children
+        return g_parent - (weighted[:, 0] + weighted[:, 1])
 
     def best_split(self) -> Tuple[int, float]:
         """(test index, its ΔG); (-1, 0) when the leaf has no tests."""
         g = self.gains()
         if g.size == 0:
             return -1, 0.0
-        best = int(np.argmax(g))
+        best = int(g.argmax())
         return best, float(g[best])
 
     # ------------------------------------------------------------ prediction

@@ -320,12 +320,15 @@ class OnlineDecisionTree:
         test_idx, gain = stats.best_split()
         if test_idx < 0 or gain < self.min_gain:
             return
-        self._split(nid, stats, test_idx)
+        self._split(nid, stats, test_idx, gain)
 
-    def _split(self, nid: int, stats: LeafStats, test_idx: int) -> None:
+    def _split(
+        self, nid: int, stats: LeafStats, test_idx: int, gain: float
+    ) -> None:
+        """Turn leaf *nid* into a branch on its test *test_idx*, whose
+        ΔG (from :meth:`LeafStats.best_split`) credits the importance."""
         tests = stats.tests
         assert tests is not None  # callers gate on stats.tests
-        gain = float(stats.gains()[test_idx])
         self.importance_[tests.features[test_idx]] += gain * stats.n_seen
         left_counts, right_counts = stats.child_counts(test_idx)
         depth = self._depth[nid]
@@ -407,7 +410,7 @@ class OnlineDecisionTree:
                 continue  # no check point of the schedule crossed yet
             test_idx, gain = stats.best_split()
             if test_idx >= 0 and gain >= self.min_gain:
-                self._split(int(nid), stats, test_idx)
+                self._split(int(nid), stats, test_idx, gain)
 
     # ------------------------------------------------------------ prediction
     def predict_one(self, x: np.ndarray, *, laplace: float = 1.0) -> float:

@@ -107,4 +107,4 @@ class OOBETracker:
         self, tree_age: float, *, oobe_threshold: float, age_threshold: float
     ) -> bool:
         """The paper's discard test: OOBE > θ_OOBE and AGE > θ_AGE."""
-        return self.value() > oobe_threshold and tree_age > age_threshold
+        return tree_age > age_threshold and self.value() > oobe_threshold

@@ -223,8 +223,9 @@ class OnlineDiskFailurePredictor:
         ``predict_score`` call — routing every tree through the
         vectorized batch path and the forest's executor.  The resulting
         **forest state is bit-identical** to processing the events one
-        at a time: the exact ``partial_fit`` path consumes each slot's
-        RNG stream element-for-element like per-sample ``update``.
+        at a time: ``update`` and exact ``partial_fit`` run one kernel,
+        which consumes each slot's RNG stream in per-sample order, the
+        seeds of trees replaced mid-batch included.
 
         What relaxes is scoring: every sample in the batch is scored
         against the forest *after* all of the batch's updates (the

@@ -459,6 +459,9 @@ def _online_forest_io() -> Tuple[SaveFn, LoadFn]:
             ],
         }
         arrays: dict = {}
+        if model.feature_ranges is not None:
+            # replacement trees draw their tests from these ranges
+            arrays["feature_ranges"] = model.feature_ranges
         tree_metas = []
         for i, tree in enumerate(model.trees):
             tree_metas.append(_pack_online_tree(tree, f"t{i}/", arrays))
@@ -482,6 +485,8 @@ def _online_forest_io() -> Tuple[SaveFn, LoadFn]:
             vote=params["vote"],
             max_depth=params["max_depth"],
             split_check_interval=params["split_check_interval"],
+            # archives predating the forest-level ranges load as None
+            feature_ranges=arrays.get("feature_ranges"),
             seed=0,
         )
         model.bagger.rng = _restore_rng(meta["bagger_rng"])

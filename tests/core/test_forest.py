@@ -194,6 +194,73 @@ class TestTreeReplacement:
         assert (pred == yt).mean() > 0.75
 
 
+def decaying_forest(**kwargs):
+    """Gates so aggressive that trees are replaced every few dozen rows."""
+    params = dict(
+        n_features=4, n_trees=4, n_tests=10, min_parent_size=20,
+        min_gain=0.01, lambda_neg=0.3, oobe_threshold=0.01,
+        age_threshold=5, oobe_decay=0.1, oobe_min_observations=3, seed=7,
+    )
+    params.update(kwargs)
+    return make_forest(**params)
+
+
+def drifting_stream(n, seed=1, scale=1.0):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(size=(n, 4)) * scale
+    y = (X[:, 0] > 0.5 * scale).astype(int)
+    y[n // 2:] = 1 - y[n // 2:]
+    return X, y
+
+
+class TestExactPathsAgree:
+    """``update`` and exact ``partial_fit`` share one kernel and one
+    stream order, whatever the batch boundaries and however many trees
+    are replaced inside a batch."""
+
+    @pytest.mark.parametrize("batch", [2, 7, 64, 600])
+    def test_partial_fit_matches_update_loop(self, batch):
+        from tests.service.conftest import same_forest
+
+        X, y = drifting_stream(600)
+        looped = decaying_forest()
+        for i in range(X.shape[0]):
+            looped.update(X[i], int(y[i]))
+        batched = decaying_forest()
+        for start in range(0, X.shape[0], batch):
+            batched.partial_fit(X[start:start + batch], y[start:start + batch])
+        assert looped.n_replacements > 0, "fixture must replace trees"
+        assert same_forest(looped, batched)
+
+
+class TestFeatureRangesPersist:
+    def test_reload_resumes_bit_identical_through_replacements(self, tmp_path):
+        """Replacement trees draw their tests from the forest's ranges, so
+        a reloaded forest must keep them to continue the same stream."""
+        from repro.persistence import load_model, save_model
+        from tests.service.conftest import same_forest
+
+        ranges = np.tile([0.0, 10.0], (4, 1))
+        X, y = drifting_stream(800, scale=10.0)
+        original = decaying_forest(feature_ranges=ranges)
+        original.partial_fit(X[:400], y[:400])
+        save_model(original, tmp_path / "forest.npz")
+        restored = load_model(tmp_path / "forest.npz")
+        assert np.array_equal(restored.feature_ranges, ranges)
+
+        before = original.n_replacements
+        original.partial_fit(X[400:], y[400:])
+        restored.partial_fit(X[400:], y[400:])
+        assert original.n_replacements > before, "must replace after reload"
+        assert same_forest(original, restored)
+
+    def test_default_ranges_stay_unset(self, tmp_path):
+        from repro.persistence import load_model, save_model
+
+        save_model(make_forest(), tmp_path / "forest.npz")
+        assert load_model(tmp_path / "forest.npz").feature_ranges is None
+
+
 class TestInspection:
     def test_stats_keys(self):
         forest = make_forest()

@@ -6,7 +6,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.node_stats import LeafStats, gini
-from repro.core.random_tests import default_feature_ranges, make_random_tests
+from repro.core.random_tests import (
+    RandomTestSet,
+    default_feature_ranges,
+    make_random_tests,
+)
+
+
+def reference_gains(stats):
+    """The gain formula of Eq. 2 composed from :func:`gini`, kept as the
+    oracle of :meth:`LeafStats.gains`'s closed form."""
+    totals = stats.sum(axis=(1, 2))
+    side_totals = stats.sum(axis=2)
+    g_parent = gini(stats.sum(axis=1))
+    g_children = gini(stats)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(
+            totals[:, None] > 0,
+            side_totals / np.where(totals[:, None] > 0, totals[:, None], 1),
+            0.0,
+        )
+    return g_parent - (frac * g_children).sum(axis=1)
 
 
 def make_leaf(n_tests=10, n_features=3, seed=0):
@@ -79,8 +99,6 @@ class TestGains:
 
     def test_perfect_test_gets_max_gain(self):
         """A test that splits classes exactly reaches ΔG == parent Gini."""
-        from repro.core.random_tests import RandomTestSet
-
         ts = RandomTestSet(
             features=np.array([0, 0], dtype=np.int32),
             thresholds=np.array([0.5, 0.99]),
@@ -114,6 +132,57 @@ class TestGains:
         for _ in range(300):
             leaf.update(rng.uniform(size=3), int(rng.integers(0, 2)))
         assert leaf.gains().min() > -1e-9
+
+
+#: tests at the edges of [0, 1] leave one side empty for most streams
+EDGE_TESTS = RandomTestSet(
+    features=np.array([0, 1, 2, 0, 1, 2, 0, 1], dtype=np.int32),
+    thresholds=np.array([-0.1, 1.1, 0.5, 0.25, 0.75, 0.0, 1.0, 0.33]),
+)
+
+WEIGHTS = st.one_of(
+    st.integers(1, 5).map(float),
+    st.floats(1e-3, 50.0, allow_nan=False, allow_infinity=False),
+    st.just(0.0),
+)
+SAMPLES = st.lists(
+    st.tuples(
+        st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        st.integers(0, 1),
+        WEIGHTS,
+    ),
+    max_size=60,
+)
+
+
+class TestGainKernelOracle:
+    """The closed-form kernel must equal the composed formula bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(samples=SAMPLES, classes=st.sampled_from(["both", "neg", "pos"]))
+    def test_bit_identical_to_reference(self, samples, classes):
+        leaf = LeafStats(EDGE_TESTS)
+        for x, y, w in samples:
+            if classes != "both":
+                y = int(classes == "pos")
+            leaf.update(np.array(x), y, w)
+        assert np.array_equal(leaf.gains(), reference_gains(leaf.test_stats))
+
+    @settings(max_examples=100, deadline=None)
+    @given(samples=SAMPLES, seed=st.integers(0, 2**16))
+    def test_bit_identical_on_random_tests(self, samples, seed):
+        leaf, _ = make_leaf(n_tests=20, seed=seed)
+        for x, y, w in samples:
+            leaf.update(np.array(x), y, w)
+        assert np.array_equal(leaf.gains(), reference_gains(leaf.test_stats))
+
+    def test_single_class_and_empty_leaves_gain_nothing(self):
+        leaf = LeafStats(EDGE_TESTS)
+        assert np.array_equal(leaf.gains(), np.zeros(8))
+        for x in np.random.default_rng(3).uniform(size=(30, 3)):
+            leaf.update(x, 1, 0.7)
+        assert np.array_equal(leaf.gains(), np.zeros(8))
+        assert np.array_equal(leaf.gains(), reference_gains(leaf.test_stats))
 
 
 class TestPosterior:

@@ -198,9 +198,9 @@ class TestAlarmRingBuffer:
 
 
 class TestProcessBatch:
-    def _events(self, n_disks=6, n_days=30, seed=3):
+    def _events(self, n_disks=6, n_days=30, seed=3, fail=None):
         rng = np.random.default_rng(seed)
-        fail = {0: 20, 1: 25}
+        fail = {0: 20, 1: 25} if fail is None else fail
         events = []
         for day in range(n_days):
             for disk in range(n_disks):
@@ -229,6 +229,47 @@ class TestProcessBatch:
         assert exact.stats.n_samples == batched.stats.n_samples
         assert exact.stats.n_failures == batched.stats.n_failures
         assert exact.labeler.n_pending == batched.labeler.n_pending
+
+    def test_three_paths_identical_through_replacements(self):
+        """Per-sample loop, micro-batches and one exact ``partial_fit`` of
+        the released labels leave the same forest, even when trees are
+        replaced in the middle of a batch."""
+        from tests.service.conftest import same_forest
+
+        def decaying():
+            forest = OnlineRandomForest(
+                4, n_trees=4, n_tests=10, min_parent_size=20, min_gain=0.01,
+                lambda_pos=1.0, lambda_neg=0.3, oobe_threshold=0.01,
+                age_threshold=5, oobe_decay=0.1, oobe_min_observations=3,
+                seed=7,
+            )
+            return OnlineDiskFailurePredictor(forest, queue_length=3)
+
+        events = self._events(
+            n_disks=12, n_days=60, seed=5, fail={0: 20, 1: 25, 2: 40, 3: 55}
+        )
+        exact = decaying()
+        released = []
+        update = exact.forest.update
+
+        def recording_update(x, y):
+            released.append((np.array(x), y))
+            update(x, y)
+
+        exact.forest.update = recording_update
+        for disk, x, failed, tag in events:
+            exact.process(disk, x, failed, tag)
+        batched = decaying()
+        for i in range(0, len(events), 17):
+            batched.process_batch(events[i : i + 17])
+        fitted = decaying().forest.partial_fit(
+            np.stack([x for x, _ in released]),
+            np.array([y for _, y in released]),
+        )
+
+        assert exact.forest.n_replacements > 0, "fixture must replace trees"
+        assert same_forest(exact.forest, batched.forest)
+        assert same_forest(exact.forest, fitted)
 
     def test_results_aligned_with_events(self):
         pred = make_predictor(alarm_threshold=0.0)

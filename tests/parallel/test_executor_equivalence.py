@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.forest import OnlineRandomForest
+from repro.obs.tracing import Tracer
 from repro.parallel.pool import (
     ProcessExecutor,
     SerialExecutor,
@@ -124,6 +125,31 @@ class TestFitEquivalence:
             serial.update(X[i], int(y[i]))
             parallel.update(X[i], int(y[i]))
         assert_same_forest(serial, parallel)
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_update_loop_identical_through_replacements(self, pool, traced):
+        """The serial ``update`` loop runs the kernel in place; pooled
+        executors deal slot groups to workers.  Both must agree, with a
+        live tracer or without, across tree replacements."""
+        X, y = drift_stream(800, seed=12)
+        gates = dict(
+            lambda_neg=0.5,
+            oobe_threshold=0.15,
+            age_threshold=50,
+            oobe_decay=0.05,
+            oobe_min_observations=10,
+        )
+        serial = make_forest(**gates)
+        parallel = make_forest(executor=pool, **gates)
+        if traced:
+            serial.tracer = Tracer()
+            parallel.tracer = Tracer()
+        for i in range(X.shape[0]):
+            serial.update(X[i], int(y[i]))
+            parallel.update(X[i], int(y[i]))
+        assert serial.n_replacements > 0, "fixture must trigger replacement"
+        assert_same_forest(serial, parallel)
+        assert_same_forest(serial, make_forest(**gates).partial_fit(X, y))
 
     def test_mixed_update_then_chunked(self, pool):
         X, y = stream(3000, seed=5)
