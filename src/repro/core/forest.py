@@ -7,8 +7,10 @@ times (splitting when the α/β condition fires); trees with k = 0 treat
 the sample as out-of-bag, update their OOBE, and are discarded and
 regrown when decayed (OOBE > θ_OOBE and AGE > θ_AGE).
 
-Trees are mutually independent, so ``update``, ``partial_fit`` and
-``predict_score`` all map over a :class:`~repro.parallel.TreeExecutor`
+Trees are mutually independent, so ``update``, ``partial_fit``,
+``fit_score`` (fold a batch and score samples in between, Algorithm 2's
+interleaving) and ``predict_score`` all map over a
+:class:`~repro.parallel.TreeExecutor`
 when one is supplied.  Each tree travels as one picklable
 :class:`TreeSlot` bundle — the tree, its OOBE tracker, and a private RNG
 stream that feeds both its Poisson draws and the seeds of any
@@ -23,11 +25,11 @@ payloads, so ``ExecutorKind.PROCESS`` works for both fit and predict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.online_tree import OnlineDecisionTree
+from repro.core.online_tree import CompiledTree, OnlineDecisionTree
 from repro.core.oobe import OOBETracker
 from repro.core.poisson import ImbalanceBagger
 from repro.core.random_tests import validate_feature_ranges
@@ -71,6 +73,14 @@ class _FitSpec:
     oobe_threshold: Optional[float]
     age_threshold: float
     tree_params: dict
+    #: hard vote: a tree scores 1.0 when its posterior is > 0.5, else 0.0
+    hard: bool
+
+
+#: score segments at least this long go through one vectorized
+#: ``predict_batch`` per tree; shorter ones walk the snapshot row by row
+#: (both read the same compiled posteriors, so the bits agree)
+_VECTOR_SCORE_ROWS = 16
 
 
 def _regrow_tree(spec: _FitSpec, rng: np.random.Generator) -> OnlineDecisionTree:
@@ -107,53 +117,118 @@ def _draw_ks(rng: np.random.Generator, lam: np.ndarray) -> List[int]:
     return ks
 
 
-def _fit_slot_exact(
+def _mean_over_trees(block: np.ndarray) -> np.ndarray:
+    """Forest score per column of a ``(T, m)`` per-tree score block.
+
+    Each column's T scores are summed as one contiguous run (pairwise
+    once T >= 8), which is the order a single sample's ``(T, 1)``
+    column sums in.  Summing the block over axis 0 instead adds the
+    trees one after another and can differ by an ulp, so a sample would
+    score differently alone than in a batch.
+    """
+    return np.ascontiguousarray(block.T).sum(axis=1) / block.shape[0]
+
+
+def _score_rows(
+    c: CompiledTree,
+    X: np.ndarray,
+    lo: int,
+    hi: int,
+    out: np.ndarray,
+    hard: bool,
+) -> None:
+    """Write a tree's score of rows ``lo:hi`` of *X* into ``out[lo:hi]``,
+    from its compiled snapshot *c*."""
+    if hi - lo >= _VECTOR_SCORE_ROWS:
+        p = c.predict_batch(X[lo:hi])
+        out[lo:hi] = p > 0.5 if hard else p
+        return
+    posterior, route = c.posterior_l, c.route_one
+    for j in range(lo, hi):
+        s = posterior[route(X[j])]
+        out[j] = (1.0 if s > 0.5 else 0.0) if hard else s
+
+
+def _fit_score_slot(
     slot: TreeSlot,
     rows: List[np.ndarray],
     labels: List[int],
     lam: np.ndarray,
     spec: _FitSpec,
+    X_score: np.ndarray,
+    cuts: List[int],
+    out: np.ndarray,
 ) -> int:
-    """Per-sample Algorithm 1 for one slot over the whole batch, row order.
+    """Per-sample Algorithm 1 for one slot over the whole batch, in row
+    order, scoring ``X_score[j]`` into ``out[j]`` once ``cuts[j]`` rows
+    are folded.
 
-    The one exact kernel: ``update`` runs it on one row, exact
-    ``partial_fit`` on many, and both consume the slot's stream in the
-    order the per-sample loop does.  The batch's multiplicities come
-    from one vector draw.  A replacement draws its tree's seed from the
-    same stream, after the k of its own row and before the k of the
-    next, so when one fires before the last row the stream is rewound
-    to before the vector draw, the rows up to and including this one
-    are redrawn (the same values), the seed is drawn, and the rest of
-    the batch is drawn afresh.
+    The one exact kernel: ``update``, exact ``partial_fit``, and both
+    modes of ``OnlineDiskFailurePredictor.process_batch`` run it, and it
+    consumes the slot's stream in the order the per-sample loop does.
+    The batch's multiplicities come from one vector draw.  A replacement
+    draws its tree's seed from the same stream, after the k of its own
+    row and before the k of the next, so when one fires before the last
+    row the stream is rewound to before the vector draw, the rows up to
+    and including this one are redrawn (the same values), the seed is
+    drawn, and the rest of the batch is drawn afresh.  Out-of-bag rows
+    walk the compiled snapshot, re-fetched only after an in-bag update
+    or a replacement; the decay rule is consulted only once the tree is
+    older than θ_AGE, since it cannot fire before.
     """
     rng = slot.rng
-    n = len(rows)
+    tree, tracker = slot.tree, slot.tracker
+    n, m = len(rows), len(cuts)
+    oobe_threshold = spec.oobe_threshold
+    age_threshold = spec.age_threshold
+    hard = spec.hard
     base = 0  # first row of the current vector draw
     rewind = rng.bit_generator.state if n > 1 else {}  # stream before it
-    ks = _draw_ks(rng, lam)
+    ks = _draw_ks(rng, lam) if n else []
+    c: Optional[CompiledTree] = None  # the tree's snapshot, while current
+    j = 0  # next score row
     n_replaced = 0
     for i in range(n):
+        if j < m and cuts[j] == i:  # samples scored before row i
+            lo = j
+            while j < m and cuts[j] == i:
+                j += 1
+            if c is None:
+                c = tree.compile()
+            _score_rows(c, X_score, lo, j, out, hard)
         k = ks[i]
         if k > 0:
-            slot.tree.update_repeated(rows[i], labels[i], k)
+            tree.update_repeated(rows[i], labels[i], k)
+            c = None
             continue
         # out-of-bag: score the sample, update OOBE, maybe replace
-        pred = 1 if slot.tree.predict_one(rows[i]) > 0.5 else 0
-        slot.tracker.observe(labels[i], pred)
-        if not _is_decayed(slot, spec):
+        if c is None:
+            c = tree.compile()
+        pred = 1 if c.posterior_l[c.route_one(rows[i])] > 0.5 else 0
+        tracker.observe(labels[i], pred)
+        if (
+            oobe_threshold is None
+            or not tree.age > age_threshold
+            or not tracker.value() > oobe_threshold
+        ):
             continue
         n_replaced += 1
+        c = None
         if i + 1 == n:  # nothing was drawn past this row
             _replace(slot, spec)
+            tree = slot.tree
             break
         # the rest of the batch was drawn before the seed: replay the
         # draw up to this row, draw the seed, then draw the rest again
         rng.bit_generator.state = rewind
         rng.poisson(lam[base : i + 1])
         _replace(slot, spec)
+        tree = slot.tree
         base = i + 1
         rewind = rng.bit_generator.state
         ks[base:] = _draw_ks(rng, lam[base:])
+    if j < m:
+        _score_rows(tree.compile(), X_score, j, m, out, hard)
     return n_replaced
 
 
@@ -187,41 +262,49 @@ def _fit_slot_chunked(
     return n_replaced
 
 
-_FitPayload = Tuple[List[TreeSlot], np.ndarray, np.ndarray, _FitSpec, int]
+_FitPayload = Tuple[
+    List[TreeSlot], np.ndarray, np.ndarray, _FitSpec, int, np.ndarray, List[int]
+]
 
 
-def _fit_slots(payload: _FitPayload) -> Tuple[List[TreeSlot], int]:
+def _fit_slots(payload: _FitPayload) -> Tuple[List[TreeSlot], int, np.ndarray]:
     """Worker: stream one batch through a group of slots.
 
     Module-level so process pools can pickle it; returns the (possibly
-    copied, in process workers) slots so the caller can reinstall them.
-    ``chunk_size <= 0`` selects the exact kernel.
+    copied, in process workers) slots so the caller can reinstall them,
+    the replacement count, and the group's ``(slots, m)`` score block.
+    ``chunk_size <= 0`` selects the exact kernel, the only one that
+    scores.
     """
-    slots, X, y, spec, chunk_size = payload
+    slots, X, y, spec, chunk_size, X_score, cuts = payload
     lam = spec.rates[y]
     n_replaced = 0
+    block = np.empty((len(slots), len(cuts)), dtype=np.float64)
     if chunk_size > 0:
         for slot in slots:
             n_replaced += _fit_slot_chunked(slot, X, y, lam, spec, chunk_size)
-        return slots, n_replaced
+        return slots, n_replaced, block
     rows, labels = list(X), y.tolist()
-    for slot in slots:
-        n_replaced += _fit_slot_exact(slot, rows, labels, lam, spec)
-    return slots, n_replaced
+    for slot, out in zip(slots, block):
+        n_replaced += _fit_score_slot(
+            slot, rows, labels, lam, spec, X_score, cuts, out
+        )
+    return slots, n_replaced, block
 
 
-def _score_trees(payload: Tuple[List[TreeSlot], np.ndarray, str]) -> np.ndarray:
+def _score_trees(
+    payload: Tuple[List[OnlineDecisionTree], np.ndarray, bool],
+) -> np.ndarray:
     """Worker: per-tree score rows for a group of trees (picklable payload).
 
     Returning one row per tree (not a group-local sum) lets the caller
-    reduce over the full ``(T, n)`` stack in tree order, so the result is
-    bit-identical whatever the executor's grouping.
+    reduce the full ``(T, n)`` block with :func:`_mean_over_trees`, so
+    the result is bit-identical whatever the executor's grouping.
     """
-    trees, X, vote = payload
+    trees, X, hard = payload
     out = np.empty((len(trees), X.shape[0]), dtype=np.float64)
-    for i, tree in enumerate(trees):
-        p = tree.predict_batch(X)
-        out[i] = (p > 0.5).astype(np.float64) if vote == "hard" else p
+    for tree, row in zip(trees, out):
+        _score_rows(tree.compile(), X, 0, X.shape[0], row, hard)
     return out
 
 
@@ -323,6 +406,7 @@ class OnlineRandomForest:
             oobe_threshold=self.oobe_threshold,
             age_threshold=self.age_threshold,
             tree_params=self._tree_params(),
+            hard=self.vote == "hard",
         )
         #: stage tracer for the batch fit/predict paths; the no-op
         #: default keeps results bit-identical and the hot path free
@@ -375,27 +459,42 @@ class OnlineRandomForest:
         return self.bagger.lambda_neg
 
     # ----------------------------------------------------------------- update
-    def _map_fit(self, X: np.ndarray, y: np.ndarray, chunk_size: int) -> None:
-        """Stream the batch through every slot, in slot groups.
+    def _map_fit(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        chunk_size: int = 0,
+        X_score: Optional[np.ndarray] = None,
+        cuts: Sequence[int] = (),
+    ) -> np.ndarray:
+        """Stream the batch through every slot, in slot groups; return the
+        ``(T, m)`` per-tree scores of the *cuts* score points.
 
         A one-worker executor runs the kernel on ``self.slots`` in
         place; otherwise slots are dealt into worker groups and
         whatever comes back is reinstalled (process workers mutate
         copies).  Each slot owns its stream, so both give one result.
         """
-        with self.tracer.span("forest.fit", items=X.shape[0]):
-            n_workers = getattr(self._executor, "n_workers", 1)
-            if n_workers == 1:
-                _, n_replaced = _fit_slots(
-                    (self.slots, X, y, self._spec, chunk_size)
-                )
-                self.n_replacements += n_replaced
-                return
-            groups = split_work(self.slots, n_workers)
-            payloads = [(group, X, y, self._spec, chunk_size) for group in groups]
-            results = self._executor.map(_fit_slots, payloads)
-            self.slots = assemble_groups([slots for slots, _ in results])
-            self.n_replacements += sum(n for _, n in results)
+        if X_score is None:
+            X_score = X[:0]
+        cuts = list(cuts)
+        self.n_samples_seen += X.shape[0]
+        n_workers = getattr(self._executor, "n_workers", 1)
+        if n_workers == 1:
+            _, n_replaced, block = _fit_slots(
+                (self.slots, X, y, self._spec, chunk_size, X_score, cuts)
+            )
+            self.n_replacements += n_replaced
+            return block
+        groups = split_work(self.slots, n_workers)
+        payloads = [
+            (group, X, y, self._spec, chunk_size, X_score, cuts)
+            for group in groups
+        ]
+        results = self._executor.map(_fit_slots, payloads)
+        self.slots = assemble_groups([slots for slots, _, _ in results])
+        self.n_replacements += sum(n for _, n, _ in results)
+        return np.vstack([block for _, _, block in results])
 
     def update(self, x: np.ndarray, y: int) -> None:
         """Fold one labeled sample into the forest (Algorithm 1)."""
@@ -406,8 +505,8 @@ class OnlineRandomForest:
             )
         if y not in (0, 1):
             raise ValueError(f"y must be 0 or 1, got {y!r}")
-        self.n_samples_seen += 1
-        self._map_fit(x[None, :], np.array([y], dtype=np.int64), 0)
+        with self.tracer.span("forest.fit", items=1):
+            self._map_fit(x[None, :], np.array([y], dtype=np.int64))
 
     def partial_fit(self, X: np.ndarray, y: np.ndarray, *, chunk_size: int = 0) -> "OnlineRandomForest":
         """Stream a batch of labeled samples, in row order; returns self.
@@ -432,22 +531,69 @@ class OnlineRandomForest:
         y = check_binary_labels(y, n_rows=X.shape[0])
         if X.shape[0] == 0:
             return self
-        self.n_samples_seen += X.shape[0]
-        self._map_fit(X, np.asarray(y, dtype=np.int64), int(chunk_size))
+        with self.tracer.span("forest.fit", items=X.shape[0]):
+            self._map_fit(X, np.asarray(y, dtype=np.int64), int(chunk_size))
         return self
+
+    def fit_score(
+        self,
+        X_fit: np.ndarray,
+        y_fit: np.ndarray,
+        X_score: np.ndarray,
+        cuts: Sequence[int],
+    ) -> np.ndarray:
+        """Fold labeled rows and score samples in between, in one pass.
+
+        Row ``X_score[j]`` is scored by the forest that has folded
+        exactly the first ``cuts[j]`` rows of ``X_fit`` (*cuts* is
+        non-decreasing, each in ``[0, len(X_fit)]``).  The result is
+        bit-identical to the loop that calls :meth:`update` on each fit
+        row and :meth:`predict_one` at each score point, in that
+        interleaving: the same kernel as exact :meth:`partial_fit`, with
+        the score points written into a ``(T, m)`` block on the way and
+        reduced in :meth:`predict_one`'s order.  With every cut at
+        ``len(X_fit)`` this is ``partial_fit`` then ``predict_score``.
+        """
+        X_fit = check_array_2d(X_fit, "X_fit")
+        check_feature_count(X_fit, self.n_features, "X_fit")
+        y_fit = check_binary_labels(y_fit, n_rows=X_fit.shape[0])
+        X_score = check_array_2d(X_score, "X_score")
+        check_feature_count(X_score, self.n_features, "X_score")
+        cuts = [int(c) for c in cuts]
+        n = X_fit.shape[0]
+        if len(cuts) != X_score.shape[0]:
+            raise ValueError(
+                f"cuts has {len(cuts)} entries for {X_score.shape[0]} score rows"
+            )
+        if any(b < a for a, b in zip(cuts, cuts[1:])) or (
+            cuts and not 0 <= cuts[0] <= cuts[-1] <= n
+        ):
+            raise ValueError(
+                f"cuts must be non-decreasing and within [0, {n}]"
+            )
+        if n == 0 and not cuts:
+            return np.empty(0, dtype=np.float64)
+        with self.tracer.span("forest.fit_score", items=n + len(cuts)):
+            block = self._map_fit(
+                X_fit, np.asarray(y_fit, dtype=np.int64), 0, X_score, cuts
+            )
+            return _mean_over_trees(block)
 
     # ------------------------------------------------------------- prediction
     def predict_score(self, X: np.ndarray) -> np.ndarray:
-        """Positive score per row (mean posterior, or vote fraction)."""
+        """Positive score per row (mean posterior, or vote fraction).
+
+        Row ``j`` is bit-identical to ``predict_one(X[j])``.
+        """
         X = check_array_2d(X, "X")
         check_feature_count(X, self.n_features, "X")
         with self.tracer.span("forest.predict", items=X.shape[0]):
             groups = split_work(
                 self.trees, getattr(self._executor, "n_workers", 1)
             )
-            payloads = [(group, X, self.vote) for group in groups]
+            payloads = [(group, X, self._spec.hard) for group in groups]
             partials = self._executor.map(_score_trees, payloads)
-            return np.sum(np.vstack(partials), axis=0) / self.n_trees
+            return _mean_over_trees(np.vstack(partials))
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """``(n, 2)`` class probabilities."""
@@ -461,11 +607,12 @@ class OnlineRandomForest:
     def predict_one(self, x: np.ndarray) -> float:
         """Score a single sample (the Algorithm-2 per-snapshot path).
 
-        Bit-identical to ``predict_score(x[None, :])[0]`` for both vote
-        modes: per-tree scores come from the same compiled snapshots,
-        the hard-vote boundary is the same strict ``> 0.5``, and the
-        reduction is the same ``(T, 1)`` column sum divided by
-        ``n_trees`` (asserted in ``tests/test_predict_contract.py``).
+        Bit-identical to ``predict_score(X)[j]`` for any batch ``X``
+        holding ``x`` as row ``j``, in both vote modes: per-tree scores
+        come from the same compiled snapshots, the hard-vote boundary is
+        the same strict ``> 0.5``, and both reduce through
+        :func:`_mean_over_trees` (asserted in
+        ``tests/test_predict_contract.py``).
         """
         x = np.asarray(x, dtype=np.float64)
         with self.tracer.span("forest.predict", items=1):
@@ -474,7 +621,7 @@ class OnlineRandomForest:
             for i, slot in enumerate(self.slots):
                 s = slot.tree.predict_one(x)
                 p[i, 0] = (1.0 if s > 0.5 else 0.0) if hard else s
-            return float(np.sum(p, axis=0)[0] / self.n_trees)
+            return float(_mean_over_trees(p)[0])
 
     def compile(self, *, laplace: float = 1.0) -> "OnlineRandomForest":
         """Warm every tree's compiled inference snapshot; returns self.

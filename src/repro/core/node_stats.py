@@ -47,7 +47,8 @@ class LeafStats:
     """
 
     __slots__ = (
-        "tests", "class_counts", "test_stats", "n_seen", "n_updates", "_arange"
+        "tests", "class_counts", "test_stats", "n_seen", "n_updates", "_arange",
+        "_gain_n", "_gain_best",
     )
 
     def __init__(
@@ -76,6 +77,11 @@ class LeafStats:
         #: repeats or skips residues, so a modulo gate on it double-checks
         #: or never fires on schedule.
         self.n_updates = 0
+        #: ``n_seen`` and the best gain at the last :meth:`best_split`
+        #: (derived state for :meth:`may_split`; +inf means "never
+        #: evaluated", so the first check always evaluates)
+        self._gain_n = 0.0
+        self._gain_best = float("inf")
 
     # ---------------------------------------------------------------- update
     def update(self, x: np.ndarray, y: int, weight: float = 1.0) -> None:
@@ -132,12 +138,32 @@ class LeafStats:
         return g_parent - (weighted[:, 0] + weighted[:, 1])
 
     def best_split(self) -> Tuple[int, float]:
-        """(test index, its ΔG); (-1, 0) when the leaf has no tests."""
+        """(test index, its ΔG); (-1, 0) when the leaf has no tests.
+
+        Remembers the best gain and ``n_seen`` for :meth:`may_split`.
+        """
         g = self.gains()
         if g.size == 0:
             return -1, 0.0
         best = int(g.argmax())
-        return best, float(g[best])
+        self._gain_n = self.n_seen
+        self._gain_best = float(g[best])
+        return best, self._gain_best
+
+    def may_split(self, min_gain: float) -> bool:
+        """False when no test can have reached *min_gain* since the last
+        :meth:`best_split`, so evaluating the gains again is wasted.
+
+        A test's ΔG is a function of its side × class masses normalised
+        by the leaf total, with partial derivatives in [-2, 2].  Adding
+        mass W to a leaf that held n₀ moves those fractions by at most
+        2W/(n₀+W) in L1 norm, hence every test's gain by at most
+        4W/(n₀+W) (``docs/algorithms.md`` has the derivation).  The
+        1e-9 slack absorbs rounding in the gains and in ``n_seen``.
+        Callers check ``n_seen >= α > 0`` first.
+        """
+        bound = 4.0 * (self.n_seen - self._gain_n) / self.n_seen
+        return self._gain_best + bound >= min_gain - 1e-9
 
     # ------------------------------------------------------------ prediction
     def posterior_positive(self, *, laplace: float = 1.0) -> float:

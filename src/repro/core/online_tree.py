@@ -4,7 +4,9 @@ The tree is stored struct-of-arrays (parallel Python lists of scalars for
 O(1) append on split).  Leaves own a :class:`~repro.core.node_stats.
 LeafStats`; a leaf splits when it has seen at least ``min_parent_size``
 (α) samples and its best candidate test achieves Gini gain at least
-``min_gain`` (β) — exactly the condition of §3.1.
+``min_gain`` (β) — exactly the condition of §3.1.  A check whose gain
+provably cannot reach β yet (:meth:`~repro.core.node_stats.LeafStats.
+may_split`) skips the gain evaluation; the splits are the same.
 
 Inference additionally runs through a **compiled** snapshot
 (:class:`CompiledTree`): :meth:`OnlineDecisionTree.compile` freezes the
@@ -317,6 +319,8 @@ class OnlineDecisionTree:
             stats.n_updates % self.split_check_interval != 0
         ):
             return
+        if not stats.may_split(self.min_gain):
+            return
         test_idx, gain = stats.best_split()
         if test_idx < 0 or gain < self.min_gain:
             return
@@ -408,6 +412,8 @@ class OnlineDecisionTree:
                 continue
             if stats.n_updates // interval == checks_before:
                 continue  # no check point of the schedule crossed yet
+            if not stats.may_split(self.min_gain):
+                continue
             test_idx, gain = stats.best_split()
             if test_idx >= 0 and gain >= self.min_gain:
                 self._split(int(nid), stats, test_idx, gain)

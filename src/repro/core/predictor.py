@@ -118,7 +118,7 @@ class OnlineDiskFailurePredictor:
                 f"disk {disk_id!r}: expected a SMART vector of shape "
                 f"{expected}, got {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError(
                 f"disk {disk_id!r}: SMART vector contains NaN/Inf values"
             )
@@ -133,29 +133,7 @@ class OnlineDiskFailurePredictor:
         negative, which updates the forest.  Prediction phase: the fresh
         sample is scored; returns an :class:`Alarm` if risky, else None.
         """
-        x = self._checked_vector(disk_id, x)
-        self.stats.n_samples += 1
-        with self.tracer.span("predictor.labeler") as sp:
-            released = self.labeler.observe(disk_id, x, tag)
-            sp.items = len(released)
-        if released:
-            with self.tracer.span(
-                "predictor.forest_update", items=len(released)
-            ):
-                for labeled in released:
-                    self.forest.update(labeled.x, labeled.y)
-                    self.stats.n_updates_neg += 1
-
-        with self.tracer.span("predictor.predict", items=1):
-            score = self.forest.predict_one(x)
-        n_absorbed = self.stats.n_updates_pos + self.stats.n_updates_neg
-        if score >= self.alarm_threshold and n_absorbed >= self.warmup_samples:
-            alarm = Alarm(disk_id, float(score), tag)
-            self.stats.n_alarms += 1
-            if self.record_alarms:
-                self.stats.alarms.append(alarm)
-            return alarm
-        return None
+        return self.process_batch([(disk_id, x, False, tag)], exact=True)[0]
 
     def process_failure(self, disk_id: Hashable) -> int:
         """Disk *disk_id* failed (Algorithm 2, lines 2-8).
@@ -163,18 +141,9 @@ class OnlineDiskFailurePredictor:
         Flushes its queue as positive updates; returns how many positive
         samples were absorbed.
         """
-        self.stats.n_failures += 1
-        with self.tracer.span("predictor.labeler") as sp:
-            released = self.labeler.fail(disk_id)
-            sp.items = len(released)
-        if released:
-            with self.tracer.span(
-                "predictor.forest_update", items=len(released)
-            ):
-                for labeled in released:
-                    self.forest.update(labeled.x, labeled.y)
-                    self.stats.n_updates_pos += 1
-        return len(released)
+        before = self.stats.n_updates_pos
+        self.process_batch([(disk_id, None, True, None)], exact=True)
+        return self.stats.n_updates_pos - before
 
     def process(
         self,
@@ -185,107 +154,101 @@ class OnlineDiskFailurePredictor:
     ) -> Optional[Alarm]:
         """Unified entry point matching Algorithm 2's signature.
 
-        ``failed=True`` routes to :meth:`process_failure` (x may be
-        None — a failed disk often reports nothing on its death day);
-        otherwise to :meth:`process_sample`.
+        ``failed=True`` is a disk failure (x may be None — a failed disk
+        often reports nothing on its death day); otherwise a working
+        sample.  The one-event case of ``process_batch(exact=True)``.
         """
-        if failed:
-            if x is not None:
-                # final snapshot exists: it is part of the last week too,
-                # and the eviction it may cause is a real confirmed
-                # negative (that sample's window elapsed before death)
-                x = self._checked_vector(disk_id, x)
-                with self.tracer.span("predictor.labeler") as sp:
-                    released = self.labeler.observe(disk_id, x, tag)
-                    sp.items = len(released)
-                if released:
-                    with self.tracer.span(
-                        "predictor.forest_update", items=len(released)
-                    ):
-                        for labeled in released:
-                            self.forest.update(labeled.x, labeled.y)
-                            self.stats.n_updates_neg += 1
-            self.process_failure(disk_id)
-            return None
-        if x is None:
-            raise ValueError("x is required for a working disk")
-        return self.process_sample(disk_id, x, tag)
+        return self.process_batch([(disk_id, x, failed, tag)], exact=True)[0]
 
     def process_batch(
         self,
         events: Sequence[Tuple[Hashable, Optional[np.ndarray], bool, object]],
+        *,
+        exact: bool = False,
     ) -> List[Optional[Alarm]]:
-        """Micro-batched Algorithm 2 over ``(disk_id, x, failed, tag)`` rows.
+        """Algorithm 2 over a bucket of ``(disk_id, x, failed, tag)`` rows.
 
-        The labeler runs event by event (so queue semantics are exact),
-        the released labels are folded with *one* ``partial_fit`` call in
-        release order, and all working samples are scored with *one*
-        ``predict_score`` call — routing every tree through the
-        vectorized batch path and the forest's executor.  The resulting
-        **forest state is bit-identical** to processing the events one
-        at a time: ``update`` and exact ``partial_fit`` run one kernel,
-        which consumes each slot's RNG stream in per-sample order, the
-        seeds of trees replaced mid-batch included.
+        The labeler does not depend on the forest, so it runs over the
+        whole bucket first, event by event: a working sample's released
+        negative, then the sample itself as a score point; a failure's
+        final snapshot (if any), then its queue flushed as positives.
+        That yields the fit rows in release order and, per score point,
+        its *cut* — how many fit rows the per-event loop folds before
+        scoring it.  One :meth:`OnlineRandomForest.fit_score` call then
+        folds and scores the whole bucket.
 
-        What relaxes is scoring: every sample in the batch is scored
-        against the forest *after* all of the batch's updates (the
-        per-sample loop scores each sample mid-batch), and the warmup
-        gate sees the post-batch absorbed count — so alarms near a
-        model-state boundary can differ within one batch.  Returns one
-        entry per event, aligned with the input (None for failures and
-        quiet samples).
+        ``exact=True`` keeps every cut, so alarms, scores and the forest
+        are bit-identical to processing the events one at a time,
+        whatever the bucket boundaries; the warmup gate sees the
+        absorbed count at each cut.  ``exact=False`` (batch mode) moves
+        every cut to the end: samples are scored against the post-bucket
+        forest and the warmup gate sees the post-bucket count, so alarms
+        near a model-state boundary can differ within one bucket.  The
+        forest is the same in both modes.
+
+        Every event is validated before any state changes, so a bad
+        event rejects the whole bucket.  Returns one entry per event,
+        aligned with the input (None for failures and quiet samples).
         """
-        updates: List[Tuple[np.ndarray, int]] = []
-        to_score: List[Tuple[int, Hashable, np.ndarray, object]] = []
-        n_pos = n_neg = 0
-        with self.tracer.span("predictor.labeler", items=len(events)):
-            for i, (disk_id, x, failed, tag) in enumerate(events):
+        checked: List[Tuple[Hashable, Optional[np.ndarray], bool, object]] = []
+        for disk_id, x, failed, tag in events:
+            if x is not None:
+                x = self._checked_vector(disk_id, x)
+            elif not failed:
+                raise ValueError("x is required for a working disk")
+            checked.append((disk_id, x, failed, tag))
+
+        fit_x: List[np.ndarray] = []
+        fit_y: List[int] = []
+        score_x: List[np.ndarray] = []
+        score_at: List[Tuple[int, Hashable, object]] = []  # event, disk, tag
+        cuts: List[int] = []  # fit rows released before each score point
+        with self.tracer.span("predictor.labeler") as sp:
+            for i, (disk_id, x, failed, tag) in enumerate(checked):
+                # a failed disk's final snapshot is part of its last week
+                # too, and the eviction it may cause is a real confirmed
+                # negative (that sample's window elapsed before death)
+                if x is not None:
+                    for labeled in self.labeler.observe(disk_id, x, tag):
+                        fit_x.append(labeled.x)
+                        fit_y.append(0)
                 if failed:
-                    if x is not None:
-                        x = self._checked_vector(disk_id, x)
-                        for labeled in self.labeler.observe(disk_id, x, tag):
-                            updates.append((labeled.x, 0))
-                            n_neg += 1
                     self.stats.n_failures += 1
                     for labeled in self.labeler.fail(disk_id):
-                        updates.append((labeled.x, 1))
-                        n_pos += 1
+                        fit_x.append(labeled.x)
+                        fit_y.append(1)
                     continue
-                if x is None:
-                    raise ValueError("x is required for a working disk")
-                x = self._checked_vector(disk_id, x)
                 self.stats.n_samples += 1
-                for labeled in self.labeler.observe(disk_id, x, tag):
-                    updates.append((labeled.x, 0))
-                    n_neg += 1
-                to_score.append((i, disk_id, x, tag))
+                score_x.append(x)
+                score_at.append((i, disk_id, tag))
+                cuts.append(len(fit_x))
+            sp.items = len(fit_x)
 
-        if updates:
-            with self.tracer.span(
-                "predictor.forest_update", items=len(updates)
-            ):
-                self.forest.partial_fit(
-                    np.stack([u[0] for u in updates]),
-                    np.array([u[1] for u in updates], dtype=np.int64),
-                )
-            self.stats.n_updates_pos += n_pos
-            self.stats.n_updates_neg += n_neg
-
+        n_fit, d = len(fit_x), self.forest.n_features
         results: List[Optional[Alarm]] = [None] * len(events)
-        if to_score:
-            with self.tracer.span("predictor.predict", items=len(to_score)):
-                scores = self.forest.predict_score(
-                    np.stack([row[2] for row in to_score])
-                )
-            n_absorbed = self.stats.n_updates_pos + self.stats.n_updates_neg
-            warm = n_absorbed >= self.warmup_samples
-            for (i, disk_id, _x, tag), score in zip(to_score, scores):
-                if warm and score >= self.alarm_threshold:
-                    alarm = Alarm(disk_id, float(score), tag)
-                    self.stats.n_alarms += 1
-                    if self.record_alarms:
-                        self.stats.alarms.append(alarm)
-                    results[i] = alarm
+        if not n_fit and not score_x:
+            return results
+        if not exact:
+            cuts = [n_fit] * len(cuts)
+        scores = self.forest.fit_score(
+            np.array(fit_x).reshape(n_fit, d),
+            np.array(fit_y, dtype=np.int64),
+            np.array(score_x).reshape(len(score_x), d),
+            cuts,
+        )
+        absorbed = self.stats.n_updates_pos + self.stats.n_updates_neg
+        n_pos = sum(fit_y)
+        self.stats.n_updates_pos += n_pos
+        self.stats.n_updates_neg += n_fit - n_pos
+        for (i, disk_id, tag), cut, score in zip(score_at, cuts, scores):
+            if score >= self.alarm_threshold and (
+                absorbed + cut >= self.warmup_samples
+            ):
+                alarm = Alarm(disk_id, float(score), tag)
+                self.stats.n_alarms += 1
+                if self.record_alarms:
+                    self.stats.alarms.append(alarm)
+                results[i] = alarm
         return results
 
     # --------------------------------------------------------------- serving

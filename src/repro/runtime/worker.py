@@ -167,18 +167,11 @@ class ShardHost:
     ) -> List[Tuple[int, Optional[Alarm]]]:
         """Run one bucket in arrival order — the worker-side mirror of
         :func:`repro.service.fleet._drain_shard`."""
-        predictor = self.predictor
-        if self.mode == "batch":
-            alarms = predictor.process_batch(
-                [(ev.disk_id, ev.x, ev.failed, ev.tag) for _, ev in bucket]
-            )
-            return [
-                (seq, alarm) for (seq, _), alarm in zip(bucket, alarms)
-            ]
-        return [
-            (seq, predictor.process(ev.disk_id, ev.x, ev.failed, ev.tag))
-            for seq, ev in bucket
-        ]
+        alarms = self.predictor.process_batch(
+            [(ev.disk_id, ev.x, ev.failed, ev.tag) for _, ev in bucket],
+            exact=(self.mode == "exact"),
+        )
+        return [(seq, alarm) for (seq, _), alarm in zip(bucket, alarms)]
 
     def _handle_checkpoint(self, path: str) -> None:
         target = self.predictor

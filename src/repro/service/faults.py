@@ -282,16 +282,17 @@ class FaultyPredictor:
     def process_batch(
         self,
         events: Sequence[Tuple[Hashable, Optional[np.ndarray], bool, Any]],
+        *,
+        exact: bool = False,
     ) -> List[Optional[Alarm]]:
         remaining = self._fail_after - self._n_processed
         if remaining >= len(events):
             self._n_processed += len(events)
-            return self._inner.process_batch(events)
+            return self._inner.process_batch(events, exact=exact)
         # partially apply the bucket before faulting, so the shard is
         # left genuinely half-mutated like a real mid-batch crash
-        for disk_id, x, failed, tag in events[:remaining]:
-            self._n_processed += 1
-            self._inner.process(disk_id, x, failed, tag)
+        self._n_processed += remaining
+        self._inner.process_batch(events[:remaining], exact=exact)
         raise self._exc_type(self._message)
 
 

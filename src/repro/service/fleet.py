@@ -10,12 +10,11 @@ and driving micro-batched ingestion over them:
 * **stable sharding** — ``crc32(repr(disk_id)) % N``; never Python's
   salted ``hash()``, so replays are deterministic across processes;
 * **micro-batching** — events are bucketed per shard and each shard
-  processes its bucket in arrival order, either sample-exact
-  (``mode="exact"``, bit-identical to the plain predictor loop) or
-  through :meth:`~repro.core.predictor.OnlineDiskFailurePredictor.
-  process_batch` (``mode="batch"``, which funnels updates through
-  ``partial_fit`` and scoring through the vectorized
-  ``predict_score``/``route_batch`` path);
+  runs its bucket, in arrival order, through one
+  :meth:`~repro.core.predictor.OnlineDiskFailurePredictor.
+  process_batch` call: sample-exact (``mode="exact"``, bit-identical to
+  the plain predictor loop) or with every sample scored after the
+  bucket's updates (``mode="batch"``);
 * **parallel shards** — buckets map over a
   :class:`~repro.parallel.pool.TreeExecutor` (serial or thread; shards
   are mutated in place, so the process backend belongs *inside* each
@@ -154,19 +153,12 @@ def _drain_shard(
     """
     predictor, bucket, mode = payload
     try:
-        if mode == "batch":
-            alarms = predictor.process_batch(
-                [(ev.disk_id, ev.x, ev.failed, ev.tag) for _, ev in bucket]
-            )
-            return (
-                [(seq, ev, alarm) for (seq, ev), alarm in zip(bucket, alarms)],
-                None,
-            )
+        alarms = predictor.process_batch(
+            [(ev.disk_id, ev.x, ev.failed, ev.tag) for _, ev in bucket],
+            exact=(mode == "exact"),
+        )
         return (
-            [
-                (seq, ev, predictor.process(ev.disk_id, ev.x, ev.failed, ev.tag))
-                for seq, ev in bucket
-            ],
+            [(seq, ev, alarm) for (seq, ev), alarm in zip(bucket, alarms)],
             None,
         )
     except Exception as exc:  # the shard is now in an indeterminate state

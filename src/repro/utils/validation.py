@@ -66,7 +66,7 @@ def check_array_2d(
         raise ValueError(
             f"{name} needs at least {min_rows} row(s), got {arr.shape[0]}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or infinite values")
     return arr
 
@@ -82,9 +82,10 @@ def check_binary_labels(
         raise ValueError(
             f"{name} length {arr.shape[0]} does not match n_rows={n_rows}"
         )
-    uniq = np.unique(arr)
-    if not np.all(np.isin(uniq, (0, 1))):
-        raise ValueError(f"{name} must contain only 0/1 labels, got values {uniq}")
+    if ((arr != 0) & (arr != 1)).any():
+        raise ValueError(
+            f"{name} must contain only 0/1 labels, got values {np.unique(arr)}"
+        )
     return arr.astype(np.int8, copy=False)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.node_stats import LeafStats, gini
+from repro.core.online_tree import OnlineDecisionTree
 from repro.core.random_tests import (
     RandomTestSet,
     default_feature_ranges,
@@ -183,6 +184,111 @@ class TestGainKernelOracle:
             leaf.update(x, 1, 0.7)
         assert np.array_equal(leaf.gains(), np.zeros(8))
         assert np.array_equal(leaf.gains(), reference_gains(leaf.test_stats))
+
+
+def _fill(leaf, samples, batch):
+    if batch and samples:
+        X = np.array([x for x, _, _ in samples], dtype=np.float64)
+        y = np.array([y for _, y, _ in samples], dtype=np.int64)
+        w = np.array([w for _, _, w in samples], dtype=np.float64)
+        leaf.update_batch(X, y, w)
+        return
+    for x, y, w in samples:
+        leaf.update(np.array(x), y, w)
+
+
+class TestGainBound:
+    """The bound behind :meth:`LeafStats.may_split`: adding mass W to a
+    leaf that held n₀ moves every test's ΔG by at most 4W/(n₀+W)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        before=SAMPLES,
+        added=SAMPLES,
+        seed=st.integers(0, 2**16),
+        edge=st.booleans(),
+        batch=st.booleans(),
+    )
+    def test_gain_moves_at_most_the_bound(self, before, added, seed, edge, batch):
+        leaf = LeafStats(EDGE_TESTS) if edge else make_leaf(n_tests=20, seed=seed)[0]
+        _fill(leaf, before, batch=False)
+        g0, n0 = leaf.gains(), leaf.n_seen
+        _fill(leaf, added, batch)
+        if leaf.n_seen == 0:
+            return  # nothing seen at all: both gain vectors are zero
+        bound = 4.0 * (leaf.n_seen - n0) / leaf.n_seen
+        assert np.all(np.abs(leaf.gains() - g0) <= bound + 1e-12)
+
+    def test_may_split_evaluates_first_then_skips_hopeless_checks(self):
+        leaf, _ = make_leaf(n_tests=10, seed=1)
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            leaf.update(rng.uniform(size=3), 0)
+        assert leaf.may_split(0.1)  # never evaluated: must evaluate
+        _, gain = leaf.best_split()
+        assert gain == 0.0  # one class: nothing to gain
+        leaf.update(rng.uniform(size=3), 1)
+        # 4·1/101 < 0.1: one more sample cannot lift any gain to β
+        assert not leaf.may_split(0.1)
+        assert leaf.may_split(0.02)
+        for _ in range(3):
+            leaf.update(rng.uniform(size=3), 1)
+        assert leaf.may_split(0.1)  # 4·4/104 > 0.1
+
+    @staticmethod
+    def _grow(seed, rows, labels, weights, batch, **params):
+        """Per update, the tree's split count; then the final tree."""
+        tree = OnlineDecisionTree(3, n_tests=8, seed=seed, **params)
+        trail = []
+        if batch:
+            for i in range(0, len(rows), batch):
+                tree.update_batch(
+                    rows[i:i + batch], labels[i:i + batch], weights[i:i + batch]
+                )
+                trail.append(tree.n_splits)
+        else:
+            for x, y, w in zip(rows, labels, weights):
+                tree.update(x, int(y), float(w))
+                trail.append(tree.n_splits)
+        return trail, tree
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(20, 300),
+        weights=st.sampled_from(["unit", "fractional", "poisson"]),
+        alpha=st.sampled_from([2.0, 8.0, 30.0]),
+        beta=st.sampled_from([0.0, 0.01, 0.05, 0.2]),
+        interval=st.sampled_from([1, 3]),
+        batch=st.sampled_from([0, 1, 16]),
+    )
+    def test_gate_fires_the_same_splits_on_the_same_rows(
+        self, seed, n, weights, alpha, beta, interval, batch
+    ):
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(size=(n, 3))
+        labels = ((rows[:, 0] + 0.3 * rng.uniform(size=n)) > 0.6).astype(np.int64)
+        w = {
+            "unit": np.ones(n),
+            "fractional": rng.uniform(0.05, 3.0, size=n),
+            "poisson": rng.poisson(1.0, size=n).astype(np.float64),
+        }[weights]
+        params = dict(
+            min_parent_size=alpha, min_gain=beta, split_check_interval=interval
+        )
+        gated = self._grow(seed, rows, labels, w, batch, **params)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(LeafStats, "may_split", lambda self, min_gain: True)
+            ungated = self._grow(seed, rows, labels, w, batch, **params)
+        assert gated[0] == ungated[0]
+        a, b = gated[1], ungated[1]
+        assert (a._feature, a._threshold, a._left, a._right) == (
+            b._feature, b._threshold, b._left, b._right
+        )
+        assert np.array_equal(a.importance_, b.importance_)
+        assert a._leaf_stats.keys() == b._leaf_stats.keys()
+        for nid, stats in a._leaf_stats.items():
+            assert np.array_equal(stats.class_counts, b._leaf_stats[nid].class_counts)
 
 
 class TestPosterior:

@@ -84,17 +84,19 @@ class TestGrowth:
         The old gate ``int(n_seen) % k`` breaks under fractional weights:
         ``int(n_seen)`` repeats the same integer across consecutive
         updates (burst of redundant checks) and skips residues entirely
-        (scheduled checks that never fire).  Spy on ``best_split`` and
-        assert the evaluation schedule is exactly every k-th update.
+        (scheduled checks that never fire).  Spy on ``may_split``, the
+        first step of every scheduled check (the gain bound, before any
+        ``best_split``), and assert the schedule is exactly every k-th
+        update.
         """
         fired = []
-        orig = LeafStats.best_split
+        orig = LeafStats.may_split
 
-        def spy(self):
+        def spy(self, min_gain):
             fired.append(self.n_updates)
-            return orig(self)
+            return orig(self, min_gain)
 
-        monkeypatch.setattr(LeafStats, "best_split", spy)
+        monkeypatch.setattr(LeafStats, "may_split", spy)
         # min_gain=1.0 exceeds the Gini-gain maximum (0.5): the split
         # condition is evaluated on schedule but never fires, so one
         # leaf absorbs the whole stream and the spy sees a clean series

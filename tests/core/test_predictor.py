@@ -6,6 +6,8 @@ import pytest
 from repro.core.forest import OnlineRandomForest
 from repro.core.predictor import OnlineDiskFailurePredictor
 
+from tests.reference_loop import reference_process
+
 
 def make_predictor(**kwargs):
     forest = OnlineRandomForest(
@@ -218,7 +220,7 @@ class TestProcessBatch:
         exact = make_predictor()
         batched = make_predictor()
         for disk, x, failed, tag in events:
-            exact.process(disk, x, failed, tag)
+            reference_process(exact, disk, x, failed, tag)
         for i in range(0, len(events), 13):
             batched.process_batch(events[i : i + 13])
 
@@ -250,15 +252,11 @@ class TestProcessBatch:
         )
         exact = decaying()
         released = []
-        update = exact.forest.update
-
-        def recording_update(x, y):
-            released.append((np.array(x), y))
-            update(x, y)
-
-        exact.forest.update = recording_update
         for disk, x, failed, tag in events:
-            exact.process(disk, x, failed, tag)
+            reference_process(
+                exact, disk, x, failed, tag,
+                on_update=lambda x, y: released.append((np.array(x), y)),
+            )
         batched = decaying()
         for i in range(0, len(events), 17):
             batched.process_batch(events[i : i + 17])

@@ -20,6 +20,7 @@ from repro.service import (
     FleetConfig,
     FleetMonitor,
     MetricsRegistry,
+    shard_of,
 )
 
 from tests.service.conftest import FOREST_KW, make_events, same_forest
@@ -32,13 +33,9 @@ EXACT_MODE_STAGES = {
     "fleet.route",
     "fleet.shards",
     "fleet.lifecycle",
+    # one labeler pass and one fused fold-and-score call per shard bucket
     "predictor.labeler",
-    "predictor.predict",
-    "predictor.forest_update",
-    "forest.fit",
-    # exact mode scores through forest.predict_one, which spans the
-    # same forest.predict stage as the batch-mode predict_score path
-    "forest.predict",
+    "forest.fit_score",
 }
 
 
@@ -124,6 +121,28 @@ class TestStageCoverage:
             needle = f'repro_stage_latency_seconds_count{{stage="{stage}"}}'
             assert needle in text, stage
 
+    @pytest.mark.parametrize("mode", ["exact", "batch"])
+    def test_shard_stages_run_once_per_bucket(self, mode):
+        """Both modes run a shard bucket as one labeler pass and one
+        ``forest.fit_score`` call: no per-event or per-label spans."""
+        registry = MetricsRegistry()
+        tracer = Tracer(registry=registry)
+        fleet = build_fleet(tracer=tracer, registry=registry, mode=mode)
+        events = make_events()
+        replay(fleet, events, batch=32)
+        buckets = sum(
+            len({shard_of(ev.disk_id, fleet.n_shards) for ev in batch})
+            for batch in (events[i:i + 32] for i in range(0, len(events), 32))
+        )
+        summary = stage_summary(tracer.snapshot())
+        counts = {
+            stage: summary[stage]["count"]
+            for stage in ("predictor.labeler", "forest.fit_score")
+        }
+        assert counts == {"predictor.labeler": buckets, "forest.fit_score": buckets}
+        stages = set(tracer.stage_names())
+        assert not stages & {"forest.fit", "forest.predict"}, stages
+
     def test_rotator_inherits_fleet_tracer(self, tmp_path):
         tracer = Tracer()
         rotator = CheckpointRotator(tmp_path, every_samples=10_000)
@@ -135,8 +154,10 @@ class TestStageCoverage:
         fleet = build_fleet(tracer=tracer, mode="batch")
         replay(fleet, make_events())
         stages = set(tracer.stage_names())
-        assert "forest.predict" in stages  # batch path scores via predict_score
-        assert "predictor.predict" in stages
+        # batch mode scores every sample at the end of the bucket's
+        # fused call, through one vectorized predict per tree
+        assert "forest.fit_score" in stages
+        assert "predictor.labeler" in stages
 
 
 class TestCounterConsistency:

@@ -242,7 +242,7 @@ class TestTraceReport:
         out = capsys.readouterr().out
         assert "per-stage latency" in out
         assert "slowest" in out
-        for stage in ("fleet.ingest", "fleet.shards", "predictor.predict"):
+        for stage in ("fleet.ingest", "fleet.shards", "forest.fit_score"):
             assert stage in out, stage
 
     def test_serve_trace_feeds_stage_metrics(self, fleet_csv, tmp_path, capsys):

@@ -171,3 +171,28 @@ def test_vendor_rule_boundary_row_alarms():
     boundary = float(tripped.min())
     labels = model.predict(X, threshold=boundary)
     assert labels[scores == boundary].all()
+
+
+@pytest.mark.parametrize("vote", ["soft", "hard"])
+@pytest.mark.parametrize("n_trees", [3, 8, 9, 30])
+def test_orf_predict_score_rows_bitwise_match_predict_one(n_trees, vote):
+    """Every row of a multi-row ``predict_score`` equals ``predict_one``
+    of that row, to the bit.
+
+    Summing a ``(T, n)`` block over axis 0 adds the trees one after
+    another, while a single sample's ``(T, 1)`` column is summed
+    pairwise once T >= 8, so the two could differ by an ulp; both must
+    reduce each sample's T scores in the same order.
+    """
+    X, y = _data(n=400)
+    model = OnlineRandomForest(
+        N_FEATURES, n_trees=n_trees, min_parent_size=20, min_gain=0.01,
+        lambda_neg=1.0, seed=3, vote=vote,
+    )
+    model.partial_fit(X, y)
+    probe = np.random.default_rng(5).uniform(size=(200, N_FEATURES))
+    batch = model.predict_score(probe)
+    singles = np.array([model.predict_one(x) for x in probe])
+    assert np.array_equal(batch, singles), (
+        f"{(batch != singles).sum()} of {len(probe)} rows differ"
+    )
